@@ -213,22 +213,26 @@ StatusOr<views::ExecutionResult> Graphsurge::RunComputation(
       views::RunOnCollection(computation, *base, *collection, options);
   if (result.ok()) {
     // Keep the run's metadata (not the captured results — those can be the
-    // size of the collection) for Profile() and Explain().
-    views::ExecutionResult trimmed = result.value();
-    trimmed.results.clear();
+    // size of the collection) for Profile() and Explain(): set the results
+    // aside while copying the rest.
+    std::vector<analytics::ResultMap> results = std::move(result->results);
+    result->results.clear();
+    auto run = std::make_shared<const views::ExecutionResult>(*result);
+    result->results = std::move(results);
     std::lock_guard<std::mutex> lock(run_state_mutex_);
-    last_run_profile_ = trimmed.Profile();
-    last_runs_[collection_name] = std::move(trimmed);
+    last_run_ = run;
+    last_runs_[collection_name] = std::move(run);
   }
   return result;
 }
 
 std::string Graphsurge::Profile() const {
-  std::string report;
+  std::shared_ptr<const views::ExecutionResult> run;
   {
     std::lock_guard<std::mutex> lock(run_state_mutex_);
-    report = last_run_profile_;
+    run = last_run_;
   }
+  std::string report = run != nullptr ? run->Profile() : std::string();
   report += "\n";
   report += metrics::Registry::Global().ExpositionText();
   return report;
@@ -260,16 +264,13 @@ StatusOr<std::string> Graphsurge::ExplainCollection(
                       GetCollection(name));
 
   // Snapshot the last run for this collection, if any.
-  bool has_run = false;
-  views::ExecutionResult run;
+  std::shared_ptr<const views::ExecutionResult> run;
   {
     std::lock_guard<std::mutex> lock(run_state_mutex_);
     auto it = last_runs_.find(name);
-    if (it != last_runs_.end()) {
-      has_run = true;
-      run = it->second;
-    }
+    if (it != last_runs_.end()) run = it->second;
   }
+  const bool has_run = run != nullptr;
 
   std::ostringstream out;
   out << std::fixed;
@@ -308,8 +309,8 @@ StatusOr<std::string> Graphsurge::ExplainCollection(
         << collection->view_names[t] << std::setw(7) << collection->order[t]
         << std::right << std::setw(12) << collection->view_sizes[t]
         << std::setw(12) << collection->diff_sizes[t];
-    if (has_run && t < run.per_view.size()) {
-      const views::ViewRunStats& v = run.per_view[t];
+    if (has_run && t < run->per_view.size()) {
+      const views::ViewRunStats& v = run->per_view[t];
       out << std::setw(10) << (v.ran_scratch ? "scratch" : "diff")
           << std::setw(12) << v.input_size << std::setw(12) << v.output_diffs
           << std::setprecision(3) << std::setw(10) << v.seconds * 1e3;
@@ -318,15 +319,15 @@ StatusOr<std::string> Graphsurge::ExplainCollection(
   }
 
   if (has_run) {
-    out << "\nlast run: strategy=" << splitting::StrategyName(run.strategy)
-        << " chunk_size=" << run.chunk_size << " splits=" << run.num_splits
-        << std::setprecision(3) << " total_ms=" << run.total_seconds * 1e3
+    out << "\nlast run: strategy=" << splitting::StrategyName(run->strategy)
+        << " chunk_size=" << run->chunk_size << " splits=" << run->num_splits
+        << std::setprecision(3) << " total_ms=" << run->total_seconds * 1e3
         << "\n";
-    if (!run.chunk_decisions.empty()) {
+    if (!run->chunk_decisions.empty()) {
       out << std::left << std::setw(12) << "chunk" << std::setw(10)
           << "choice" << std::right << std::setw(16) << "pred scratch s"
           << std::setw(14) << "pred diff s" << "  basis\n";
-      for (const views::ChunkDecision& d : run.chunk_decisions) {
+      for (const views::ChunkDecision& d : run->chunk_decisions) {
         out << std::left << std::setw(12)
             << ("[" + std::to_string(d.begin) + "," +
                 std::to_string(d.end) + ")")
@@ -337,7 +338,7 @@ StatusOr<std::string> Graphsurge::ExplainCollection(
               << d.predicted_diff_seconds << "  cost-model";
         } else {
           out << "-" << std::setw(14) << "-"
-              << (run.strategy == splitting::Strategy::kAdaptive
+              << (run->strategy == splitting::Strategy::kAdaptive
                       ? "  bootstrap"
                       : "  fixed strategy");
         }

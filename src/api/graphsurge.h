@@ -101,8 +101,8 @@ class Graphsurge {
   /// Profiling report of the most recent RunComputation on this system:
   /// the per-view × per-operator wall-time table
   /// (views::ExecutionResult::Profile) followed by a snapshot of the global
-  /// metrics registry in Prometheus exposition format. Empty-table header
-  /// only before the first run.
+  /// metrics registry in Prometheus exposition format; the table is
+  /// rendered on each call and absent before the first run.
   std::string Profile() const;
 
   /// Renders the optimizer's plan for a materialized collection: chosen
@@ -194,13 +194,15 @@ class Graphsurge {
   /// Guards the cached run reports below: the status server's /profilez
   /// scrapes them from its own thread while RunComputation replaces them.
   mutable std::mutex run_state_mutex_;
-  /// Per-view table of the last RunComputation (RunComputation is logically
-  /// const — it mutates no stored graph or collection — so the cached
-  /// reports are the one mutable bit).
-  mutable std::string last_run_profile_;
-  /// Last ExecutionResult per collection (results vector cleared — only the
-  /// run metadata is kept), feeding Explain()'s estimated-vs-actual table.
-  mutable std::map<std::string, views::ExecutionResult> last_runs_;
+  /// Metadata of the last RunComputation (results vector empty), rendered
+  /// by Profile() on demand. RunComputation is logically const — it
+  /// mutates no stored graph or collection — so the cached runs are the
+  /// one mutable bit.
+  mutable std::shared_ptr<const views::ExecutionResult> last_run_;
+  /// The same metadata per collection, feeding Explain()'s
+  /// estimated-vs-actual table.
+  mutable std::map<std::string, std::shared_ptr<const views::ExecutionResult>>
+      last_runs_;
   std::map<std::string, PropertyGraph> graphs_;
   std::map<std::string, views::MaterializedCollection> collections_;
   std::map<std::string, agg::AggregateView> aggregate_views_;

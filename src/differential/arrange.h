@@ -329,13 +329,13 @@ class JoinArrangedArrangedOp : public OperatorBase {
     }
     // Subtract the doubly-counted concurrent product. Both batches reached
     // the shared traces at times whose lub with `time` is exactly `time`,
-    // so the correction lands at `time`.
+    // so the correction lands at `time`. Take returned both consolidated,
+    // i.e. sorted by (key, value), so equal keys are already contiguous.
     if (!left_batch.empty() && !right_batch.empty()) {
-      auto key_less = [](const auto& a, const auto& b) {
-        return a.data.first < b.data.first;
-      };
-      std::sort(left_batch.begin(), left_batch.end(), key_less);
-      std::sort(right_batch.begin(), right_batch.end(), key_less);
+#if GRAPHSURGE_PARANOID
+      GS_CHECK(SortedByData(left_batch) && SortedByData(right_batch))
+          << "join input batch not consolidated at " << time.ToString();
+#endif
       size_t i = 0, j = 0;
       while (i < left_batch.size() && j < right_batch.size()) {
         const K& lk = left_batch[i].data.first;

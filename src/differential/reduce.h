@@ -240,15 +240,15 @@ class ReduceOp : public OperatorBase {
       return;
     }
     if (!(time == Time(0))) export_ = false;  // multi-time: not cacheable
+    // Take returns the batch consolidated, i.e. sorted by (key, value), so
+    // each key's new updates already form one contiguous range handed to
+    // EvaluateKeyAt, which mirrors them into the key's iteration-major
+    // history instead of re-walking the trace.
     Batch<std::pair<K, V>> batch = port_.Take(time);
-    // Sort the batch by key: each key's new updates form one contiguous
-    // range handed to EvaluateKeyAt, which mirrors them into the key's
-    // iteration-major history instead of re-walking the trace.
-    std::sort(batch.begin(), batch.end(),
-              [](const Update<std::pair<K, V>>& a,
-                 const Update<std::pair<K, V>>& b) {
-                return a.data.first < b.data.first;
-              });
+#if GRAPHSURGE_PARANOID
+    GS_CHECK(SortedByData(batch))
+        << "reduce input batch not consolidated at " << time.ToString();
+#endif
     if (input_ == &owned_input_) {
       for (const auto& u : batch) {
         owned_input_.Insert(u.data.first, u.data.second, time, u.diff);

@@ -51,6 +51,15 @@ void Consolidate(Batch<D>* batch) {
   batch->resize(out);
 }
 
+/// True when `batch` is ordered by data, as Consolidate leaves it.
+template <typename D>
+bool SortedByData(const Batch<D>& batch) {
+  return std::is_sorted(batch.begin(), batch.end(),
+                        [](const Update<D>& a, const Update<D>& b) {
+                          return a.data < b.data;
+                        });
+}
+
 /// Sum of |diff| over the batch — the "size" of a difference set as used by
 /// the paper's optimizers.
 template <typename D>

@@ -1,10 +1,13 @@
 #include "views/executor.h"
 
+#include <algorithm>
+#include <bit>
 #include <iomanip>
 #include <memory>
 #include <set>
 #include <sstream>
 
+#include "common/bitset.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/timer.h"
@@ -101,15 +104,32 @@ StatusOr<ExecutionResult> RunOnCollection(
   const size_t k = collection.num_views();
   if (k == 0) return result;
 
-  // Resolve every edge once; views reference edges by id.
-  std::vector<WeightedEdge> resolved(graph.num_edges());
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    resolved[e] = graph.ResolveWeighted(e, options.weight_column);
+  // A run touches only the edges its difference stream references (the
+  // union of its views). Collect them once in ascending EdgeId order, the
+  // feed order of every scratch seed, resolve each once, and track view
+  // membership over that compact set: no step below is sized by the graph.
+  std::vector<EdgeId> ids;
+  for (size_t t = 0; t < k; ++t) {
+    for (const EdgeDiff& d : collection.diffs.ViewDiffs(t)) {
+      ids.push_back(d.edge);
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  if (!ids.empty() && ids.back() >= graph.num_edges()) {
+    return Status::OutOfRange(
+        "collection references edge " + std::to_string(ids.back()) +
+        " of a graph with " + std::to_string(graph.num_edges()) + " edges");
+  }
+  std::vector<WeightedEdge> resolved(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    resolved[i] = graph.ResolveWeighted(ids[i], options.weight_column);
   }
 
-  // Current view contents, maintained by applying the difference stream —
-  // needed to seed scratch runs.
-  std::vector<bool> present(graph.num_edges(), false);
+  // Current view contents (bit i ⇔ ids[i] present), maintained by applying
+  // the difference stream — needed to seed scratch runs.
+  Bitset present(ids.size());
+  std::vector<size_t> view_slots;  // slot of each diff of the current view
 
   splitting::AdaptiveSplitter splitter(options.chunk_size);
   std::unique_ptr<Engine> engine;
@@ -183,8 +203,11 @@ StatusOr<ExecutionResult> RunOnCollection(
 
     for (; t < chunk_end; ++t) {
       const std::vector<EdgeDiff>& view_diffs = collection.diffs.ViewDiffs(t);
+      view_slots.clear();
       for (const EdgeDiff& d : view_diffs) {
-        present[d.edge] = d.diff > 0;
+        view_slots.push_back(std::lower_bound(ids.begin(), ids.end(), d.edge) -
+                             ids.begin());
+        present.SetTo(view_slots.back(), d.diff > 0);
       }
 
       // The very first view on a fresh engine is always a full feed; treat
@@ -202,9 +225,9 @@ StatusOr<ExecutionResult> RunOnCollection(
         harvest(engine.get());
         engine = std::make_unique<Engine>(computation, options.dataflow);
         uint64_t fed = 0;
-        for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-          if (present[e]) {
-            engine->Send(resolved[e], 1);
+        for (size_t w = 0; w < present.num_words(); ++w) {
+          for (uint64_t bits = present.word(w); bits != 0; bits &= bits - 1) {
+            engine->Send(resolved[w * 64 + std::countr_zero(bits)], 1);
             ++fed;
           }
         }
@@ -213,8 +236,8 @@ StatusOr<ExecutionResult> RunOnCollection(
         stats.input_size = fed;
       } else {
         ops_before = engine->dataflow.AggregatedStats().AggregatedOpNanos();
-        for (const EdgeDiff& d : view_diffs) {
-          engine->Send(resolved[d.edge], d.diff);
+        for (size_t i = 0; i < view_diffs.size(); ++i) {
+          engine->Send(resolved[view_slots[i]], view_diffs[i].diff);
         }
         GS_RETURN_IF_ERROR(engine->Step());
         stats.ran_scratch = false;

@@ -1,9 +1,10 @@
-// End-to-end property matrix: every algorithm × every execution strategy
-// over a GVDL-defined collection must produce, at every view, exactly the
-// sequential oracle's result on that view's edges.
+// End-to-end property matrix: every collection × algorithm × execution
+// strategy must produce, at every view, exactly the sequential oracle's
+// result on that view's edges.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
 #include "algorithms/algorithms.h"
 #include "algorithms/reference.h"
@@ -17,7 +18,7 @@ using analytics::ResultMap;
 
 class ExecutorMatrixTest
     : public ::testing::TestWithParam<
-          std::tuple<std::string, splitting::Strategy>> {
+          std::tuple<std::string, std::string, splitting::Strategy>> {
  protected:
   static void SetUpTestSuite() {
     system_ = new Graphsurge();
@@ -37,6 +38,38 @@ class ExecutorMatrixTest
                               "[e: timestamp > 600], "
                               "[f: timestamp <= 400]")
                     .ok());
+
+    // Narrow sliding windows over a sub-range of a second graph, then a
+    // few tombstones inside the windows: most of the graph's edges are in
+    // no view, and the incrementally maintained stream drops removed ones.
+    opts.seed = 7;
+    ASSERT_TRUE(system_->AddGraph("h", GenerateTemporalGraph(opts)).ok());
+    ASSERT_TRUE(system_
+                    ->Execute("create view collection narrow on h "
+                              "[w0: timestamp > 300 and timestamp <= 340], "
+                              "[w1: timestamp > 320 and timestamp <= 360], "
+                              "[w2: timestamp > 340 and timestamp <= 380], "
+                              "[w3: timestamp > 360 and timestamp <= 400], "
+                              "[w4: timestamp > 380 and timestamp <= 420], "
+                              "[w5: timestamp > 400 and timestamp <= 440], "
+                              "[w6: timestamp > 420 and timestamp <= 460]")
+                    .ok());
+    const views::MaterializedCollection& narrow =
+        **system_->GetCollection("narrow");
+    std::set<EdgeId> removed;
+    for (size_t t = 1; t < narrow.num_views(); t += 2) {
+      std::vector<EdgeId> view = narrow.diffs.Reconstruct(t);
+      ASSERT_FALSE(view.empty());
+      removed.insert(view[view.size() / 2]);
+    }
+    MutationBatch tombstones;
+    for (EdgeId e : removed) tombstones.push_back(Mutation::RemoveEdge(e));
+    ASSERT_TRUE(system_->ApplyMutations("h", tombstones).ok());
+    std::set<EdgeId> in_some_view;
+    for (size_t t = 0; t < narrow.num_views(); ++t) {
+      for (EdgeId e : narrow.diffs.Reconstruct(t)) in_some_view.insert(e);
+    }
+    ASSERT_LT(in_some_view.size() * 4, opts.num_edges);
   }
   static void TearDownTestSuite() {
     delete system_;
@@ -86,11 +119,14 @@ class ExecutorMatrixTest
 Graphsurge* ExecutorMatrixTest::system_ = nullptr;
 
 TEST_P(ExecutorMatrixTest, EveryViewMatchesOracle) {
-  const auto& [algorithm, strategy] = GetParam();
-  const PropertyGraph& g = **system_->GetGraph("g");
-  const views::MaterializedCollection& mc = **system_->GetCollection("mixed");
+  const auto& [collection, algorithm, strategy] = GetParam();
+  const views::MaterializedCollection& mc =
+      **system_->GetCollection(collection);
+  const PropertyGraph& g = **system_->GetGraph(mc.base_graph);
   int weight_col = g.FindWeightColumn("weight");
-  VertexId source = g.edge(0).src;
+  const std::vector<EdgeId> first_view = mc.diffs.Reconstruct(0);
+  ASSERT_FALSE(first_view.empty());
+  VertexId source = g.edge(first_view.front()).src;
 
   auto computation = Make(algorithm, source);
   ASSERT_NE(computation, nullptr);
@@ -99,9 +135,10 @@ TEST_P(ExecutorMatrixTest, EveryViewMatchesOracle) {
   options.chunk_size = 2;
   options.weight_column = weight_col;
   options.capture_results = true;
-  auto run = system_->RunComputation(*computation, "mixed", options);
+  auto run = system_->RunComputation(*computation, collection, options);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   ASSERT_EQ(run->results.size(), mc.num_views());
+  ASSERT_EQ(run->per_view.size(), mc.num_views());
 
   for (size_t t = 0; t < mc.num_views(); ++t) {
     std::vector<WeightedEdge> edges;
@@ -109,24 +146,32 @@ TEST_P(ExecutorMatrixTest, EveryViewMatchesOracle) {
       edges.push_back(g.ResolveWeighted(e, weight_col));
     }
     ASSERT_EQ(run->results[t], Reference(algorithm, edges, source))
-        << algorithm << "/" << splitting::StrategyName(strategy)
+        << collection << "/" << algorithm << "/"
+        << splitting::StrategyName(strategy)
         << " diverges from the oracle at view " << t;
+    // A scratch seed feeds exactly the view's edges.
+    if (run->per_view[t].ran_scratch) {
+      EXPECT_EQ(run->per_view[t].input_size, mc.view_sizes[t])
+          << collection << "/" << algorithm << " view " << t;
+    }
   }
 }
 
 std::string MatrixName(
     const ::testing::TestParamInfo<ExecutorMatrixTest::ParamType>& info) {
-  std::string n = std::get<0>(info.param);
+  std::string n = std::get<0>(info.param) + "_" + std::get<1>(info.param);
   for (char& c : n) {
     if (c == '-') c = '_';
   }
-  return n + "_" + splitting::StrategyName(std::get<1>(info.param))[0] +
-         std::to_string(static_cast<int>(std::get<1>(info.param)));
+  const splitting::Strategy strategy = std::get<2>(info.param);
+  return n + "_" + splitting::StrategyName(strategy)[0] +
+         std::to_string(static_cast<int>(strategy));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithmsAllStrategies, ExecutorMatrixTest,
     ::testing::Combine(
+        ::testing::Values("mixed", "narrow"),
         ::testing::Values("wcc", "bfs", "bellman-ford", "pagerank", "scc",
                           "mpsp"),
         ::testing::Values(splitting::Strategy::kDiffOnly,

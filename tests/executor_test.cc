@@ -265,5 +265,16 @@ TEST(ExecutorTest, EmptyViewsAreHandled) {
   EXPECT_TRUE(result->results[2].empty());
 }
 
+TEST(ExecutorTest, EdgeBeyondGraphIsOutOfRange) {
+  PropertyGraph g = MakeCallGraphExample();
+  const EdgeId beyond = static_cast<EdgeId>(g.num_edges());
+  MaterializedCollection mc = CollectionFromDiffBatches(
+      "c", "Calls", {{{0, 1}}, {{beyond, 1}}});
+  analytics::Wcc wcc;
+  auto result = RunOnCollection(wcc, g, mc, ExecutionOptions());
+  EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange)
+      << result.status().ToString();
+}
+
 }  // namespace
 }  // namespace gs::views
