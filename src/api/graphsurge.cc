@@ -328,10 +328,13 @@ StatusOr<std::string> Graphsurge::ExplainCollection(
           << "choice" << std::right << std::setw(16) << "pred scratch s"
           << std::setw(14) << "pred diff s" << "  basis\n";
       for (const views::ChunkDecision& d : run->chunk_decisions) {
-        out << std::left << std::setw(12)
-            << ("[" + std::to_string(d.begin) + "," +
-                std::to_string(d.end) + ")")
-            << std::setw(10) << (d.scratch ? "scratch" : "diff");
+        std::string range = "[";
+        range += std::to_string(d.begin);
+        range += ',';
+        range += std::to_string(d.end);
+        range += ')';
+        out << std::left << std::setw(12) << range << std::setw(10)
+            << (d.scratch ? "scratch" : "diff");
         out << std::right << std::setprecision(6) << std::setw(16);
         if (d.from_model) {
           out << d.predicted_scratch_seconds << std::setw(14)

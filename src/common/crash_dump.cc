@@ -88,7 +88,9 @@ std::string RenderFlightRecorderJson(const char* reason,
   out += "\", \"violated_rules\": [";
   for (size_t i = 0; i < rules.size(); ++i) {
     if (i) out += ", ";
-    out += "\"" + introspect::JsonEscape(rules[i]) + "\"";
+    out += '"';
+    out += introspect::JsonEscape(rules[i]);
+    out += '"';
   }
   out += "], \"timestamp_ms\": " + std::to_string(unix_ms);
   out += ", \"uptime_ms\": " + std::to_string(timeseries::NowMillis());
@@ -97,8 +99,11 @@ std::string RenderFlightRecorderJson(const char* reason,
   for (const auto& [key, value] : metrics::BuildInfoLabels()) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + introspect::JsonEscape(key) + "\": \"" +
-           introspect::JsonEscape(value) + "\"";
+    out += '"';
+    out += introspect::JsonEscape(key);
+    out += "\": \"";
+    out += introspect::JsonEscape(value);
+    out += '"';
   }
   out += "}, \"trace_events\": " + trace::ToJsonTail(256);
   out += ", \"metrics\": " + metrics::Registry::Global().JsonSnapshot();

@@ -337,11 +337,17 @@ std::string StepProfile::RenderJson() const {
     for (size_t w = 0; w < r.workers.size(); ++w) {
       const WorkerAttribution& a = r.workers[w];
       if (w) out += ", ";
-      out += "[" + std::to_string(a.busy_ns) + ", " +
-             std::to_string(a.exchange_ns) + ", " +
-             std::to_string(a.barrier_ns) + ", " +
-             std::to_string(a.seal_ns) + ", " + std::to_string(a.idle_ns) +
-             "]";
+      out += '[';
+      out += std::to_string(a.busy_ns);
+      out += ", ";
+      out += std::to_string(a.exchange_ns);
+      out += ", ";
+      out += std::to_string(a.barrier_ns);
+      out += ", ";
+      out += std::to_string(a.seal_ns);
+      out += ", ";
+      out += std::to_string(a.idle_ns);
+      out += ']';
     }
     out += "]}";
   }
@@ -383,10 +389,12 @@ std::string ProfileRegistry::RenderAllJson() const {
     if (series == nullptr) continue;
     if (!first) out += ", ";
     first = false;
-    out += "\"" + std::string(name) + "\": \"" +
-           introspect::JsonEscape(timeseries::Sparkline(series->Snapshot(),
-                                                        40)) +
-           "\"";
+    out += '"';
+    out += name;
+    out += "\": \"";
+    out += introspect::JsonEscape(
+        timeseries::Sparkline(series->Snapshot(), 40));
+    out += '"';
   }
   out += "}, \"summary\": " + GlobalSummaryJson() + "}";
   return out;
@@ -411,8 +419,10 @@ std::string GlobalSummaryJson() {
                     ", \"state_nanos\": {";
   for (size_t s = 0; s < kNumStates; ++s) {
     if (s) out += ", ";
-    out += "\"" + std::string(StateName(static_cast<State>(s))) +
-           "\": " + std::to_string(state[s]);
+    out += '"';
+    out += StateName(static_cast<State>(s));
+    out += "\": ";
+    out += std::to_string(state[s]);
   }
   const double busy_frac =
       active_total > 0

@@ -195,14 +195,19 @@ std::string Store::ToJson() const {
   for (const auto& [name, series] : entries) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + introspect::JsonEscape(name) + "\": {";
+    out += '"';
+    out += introspect::JsonEscape(name);
+    out += "\": {";
     AppendStats(&out, series->Stats());
     out += ", \"samples\": [";
     std::vector<Sample> samples = series->Snapshot();
     for (size_t i = 0; i < samples.size(); ++i) {
       if (i) out += ", ";
-      out += "[" + std::to_string(samples[i].t_ms) + ", " +
-             JsonNumber(samples[i].value) + "]";
+      out += '[';
+      out += std::to_string(samples[i].t_ms);
+      out += ", ";
+      out += JsonNumber(samples[i].value);
+      out += ']';
     }
     out += "]}";
   }
@@ -225,7 +230,9 @@ std::string Store::ToSummaryJson() const {
   for (const auto& [name, series] : entries) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + introspect::JsonEscape(name) + "\": {";
+    out += '"';
+    out += introspect::JsonEscape(name);
+    out += "\": {";
     AppendStats(&out, series->Stats());
     out += ", \"spark\": \"" +
            introspect::JsonEscape(Sparkline(series->Snapshot(), 32)) + "\"}";

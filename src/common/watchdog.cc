@@ -300,7 +300,9 @@ std::string Watchdog::RenderHealthJson() const {
   out += ", \"violated_rules\": [";
   for (size_t i = 0; i < health.violated_rules.size(); ++i) {
     if (i) out += ", ";
-    out += "\"" + introspect::JsonEscape(health.violated_rules[i]) + "\"";
+    out += '"';
+    out += introspect::JsonEscape(health.violated_rules[i]);
+    out += '"';
   }
   out += "]";
   if (!health.last_dump_path.empty()) {
@@ -321,7 +323,10 @@ std::string Watchdog::RenderHealthJson() const {
                   metrics::HistogramQuantile(*h, 0.5),
                   metrics::HistogramQuantile(*h, 0.95),
                   metrics::HistogramQuantile(*h, 0.99));
-    out += "\"" + std::string(name) + "\": " + buf;
+    out += '"';
+    out += name;
+    out += "\": ";
+    out += buf;
   }
   out += "}}";
   return out;

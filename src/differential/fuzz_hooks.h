@@ -25,9 +25,11 @@
 //     verifies the engine tears down cleanly (memory gauges return to zero)
 //     and that a fresh engine re-run succeeds.
 //   * drop_insert_at is the hidden `--inject-bug` hook: a trace silently
-//     swallows its Nth insert (a simulated lost-update/compaction-race
-//     bug). It exists so the fuzzer's oracle, minimizer, and repro writer
-//     can be demonstrated end to end against a real defect.
+//     swallows its Nth insert, and so does each reduce's KeyState input
+//     history (reduce.h; at depth ≤ 1 it is the reduce's only record of
+//     its input) — a simulated lost-update/compaction-race bug. It exists
+//     so the fuzzer's oracle, minimizer, and repro writer can be
+//     demonstrated end to end against a real defect.
 //
 // Threading/determinism contract: hooks are plain globals written only
 // while no engine threads are running (before a Dataflow/ShardedDataflow is
@@ -78,8 +80,9 @@ struct Hooks {
   /// a sort/merge on every insert — the allocation-pressure fault.
   size_t tail_seal_threshold = 0;
 
-  /// Hidden --inject-bug hook: each trace silently drops its Nth insert
-  /// (0 = off). This IS a bug; the fuzzer must catch it.
+  /// Hidden --inject-bug hook: each trace and each reduce's KeyState input
+  /// history silently drops its Nth insert (0 = off). This IS a bug; the
+  /// fuzzer must catch it.
   uint64_t drop_insert_at = 0;
 
   /// Injected allocation failure: Dataflow's event-cap check returns

@@ -8,17 +8,32 @@
 // totally ordered versions; the closure argument for correctness under
 // arbitrary processing order is spelled out in DESIGN.md §3.1.
 //
-// Accumulations are served from a persistent per-key *iteration-major*
-// history (KeyState) instead of walking the trace on every evaluation: at
-// any evaluation time every history entry's version is ≤ the current
-// version (entries are only inserted at already-processed times), so at
-// scope depth ≤ 1 membership of an entry in the accumulation depends on
-// its innermost iteration coordinate alone. Keeping the history sorted by
-// iteration with a cursor makes each evaluation O(entries between the
-// previous and current iteration) — independent of how many versions or
-// epochs the trace spans — and lets retract/insert pairs landing at the
-// same iteration in different epochs cancel, which the trace itself can
-// never do (it must keep version distinctions until they seal).
+// At scope depth ≤ 1 each key's history lives in one persistent
+// *iteration-major* structure (KeyState): at any evaluation time every
+// history entry's version is ≤ the current version (entries are only
+// inserted at already-processed times), so membership of an entry in the
+// accumulation depends on its innermost iteration coordinate alone.
+// Keeping the history sorted by iteration with a cursor makes each
+// evaluation O(entries between the previous and current iteration) —
+// independent of how many versions or epochs the history spans — and lets
+// retract/insert pairs landing at the same iteration in different epochs
+// cancel, which a trace can never do (it must keep version distinctions
+// until they seal).
+//
+// When the operator owns its input, the KeyState histories are its only
+// record of that input and of its output: no private trace is written, so
+// neither pays spine merges or seal compaction. Traces remain where
+// something reads them:
+//   - depth ≥ 2 (nested Iterate) leaves the iteration-scalar regime, and
+//     every evaluation walks the input and output traces instead;
+//   - a shared arrangement input (ReduceArranged) is read from its owner's
+//     trace when a key is first touched;
+//   - an output exposed through arranged() (DistinctArranged,
+//     CountArranged, the arrangement cache) keeps its output trace for the
+//     downstream probes.
+// Paranoid builds (GRAPHSURGE_PARANOID) also write the private traces as
+// an unaccounted shadow and cross-check every depth ≤ 1 evaluation's
+// accumulations against them.
 #ifndef GRAPHSURGE_DIFFERENTIAL_REDUCE_H_
 #define GRAPHSURGE_DIFFERENTIAL_REDUCE_H_
 
@@ -43,12 +58,12 @@ namespace gs::differential {
 /// Keys whose input multiset is empty produce no output (DD convention).
 ///
 /// The input history is either owned (stream constructor: the operator
-/// indexes its exchanged input itself) or shared (Arranged constructor: the
-/// operator reads the arrangement's trace and only tracks which keys were
-/// touched — no second copy of the index). The output history doubles as an
-/// arrangement: arranged() exposes it for downstream sharing, which is
-/// sound because the deltas are inserted into the output trace before they
-/// are published.
+/// indexes its exchanged input itself, in KeyState at depth ≤ 1) or shared
+/// (Arranged constructor: the operator reads the arrangement's trace and
+/// only tracks which keys were touched — no second copy of the index). The
+/// output history doubles as an arrangement: arranged() exposes it for
+/// downstream sharing, which is sound because the deltas are inserted into
+/// the output trace before they are published.
 template <typename K, typename V, typename Out, typename Fn>
 class ReduceOp : public OperatorBase {
  public:
@@ -90,6 +105,8 @@ class ReduceOp : public OperatorBase {
   /// rebuild identically (e.g. the DistinctArranged adjacency) is exactly
   /// one whose output is shared downstream.
   Arranged<K, Out> arranged() {
+    GS_CHECK(depth_ < 0) << "reduce output shared after it started running";
+    output_shared_ = true;
     ArmCache();
     return Arranged<K, Out>(&output_trace_, stream());
   }
@@ -129,22 +146,22 @@ class ReduceOp : public OperatorBase {
 
   void CollectMemory(OperatorMemory* out) const override {
     // The shared-arrangement input trace is accounted by its owning
-    // ArrangeOp/ReduceOp, never double-counted here.
-    if (input_ == &owned_input_) out->AddTrace(owned_input_);
-    out->AddTrace(output_trace_);
+    // ArrangeOp/ReduceOp, never double-counted here; paranoid shadow traces
+    // are a checking aid, not operator state, and are left out too.
+    if (input_ == &owned_input_ && depth_ > 1) out->AddTrace(owned_input_);
+    if (depth_ > 1 || output_shared_) out->AddTrace(output_trace_);
     out->queued_bytes += port_.buffered_bytes();
-    // The iteration-major evaluation index (see KeyState) is auxiliary
-    // operator state, reported alongside the queues.
-    // Iteration-major evaluation index (KeyState histories), maintained
-    // incrementally — SealPhase calls this every version, so walking the
-    // whole key map here would dwarf the work being measured. The small
-    // per-key accumulations are not counted.
-    out->queued_bytes += states_bytes_;
+    // The KeyState histories are this operator's history at depth ≤ 1.
+    // Their bytes are maintained incrementally — SealPhase calls this every
+    // version, so walking the whole key map here would dwarf the work being
+    // measured. The small per-key accumulations are not counted.
+    out->trace_bytes += states_bytes_;
+    out->trace_high_water_bytes += states_high_water_;
   }
 
  private:
-  /// One entry of the iteration-major history: a trace entry with its
-  /// version coordinate dropped. Sound as an evaluation index because
+  /// One entry of the iteration-major history: a timestamped update with
+  /// its version coordinate dropped. Sound as an evaluation index because
   /// probes only ever look backward along the version axis (see the file
   /// header): at probe time (v, i), entry ≤ probe ⇔ entry.iter ≤ i.
   template <typename U>
@@ -154,25 +171,27 @@ class ReduceOp : public OperatorBase {
     Diff diff;
   };
 
-  /// Persistent per-key evaluation state — the iteration-major mirror of
-  /// the key's input and output histories, plus running accumulations.
+  /// Persistent per-key evaluation state at depth ≤ 1: the key's
+  /// iteration-major input and output histories plus running
+  /// accumulations.
   ///
   /// Invariants (built == true):
   ///   - `hist` holds exactly the key's input history (same per-(value,
-  ///     iteration) diff sums as the trace), sorted by iteration;
-  ///     `out_hist` likewise for the output history.
+  ///     iteration) diff sums as a trace of the delivered batches would),
+  ///     sorted by iteration; `out_hist` likewise for the output history.
   ///   - `acc` is the consolidated sum of hist[0, pos), where [0, pos) is
   ///     exactly the entries with iter ≤ cur_iter; `out_acc`/`out_pos`
   ///     mirror this for the output.
-  /// Maintained incrementally: every insert into the underlying traces for
-  /// this key is mirrored here, either from the key's slice of the arriving
-  /// batch (input; ArrangeOp and this op's owned input both insert exactly
-  /// the batches they deliver, and batch keys are always evaluated at the
-  /// batch's time) or from the emitted delta (output). Trace compaction
-  /// cannot invalidate the state: it preserves per-(value, ≤t) diff sums
-  /// for every probe time t at or after the frontier, and the mirror holds
-  /// copies. Depth ≥ 2 times (nested Iterate) leave the iteration-scalar
-  /// regime and fall back to a full trace walk per evaluation.
+  /// Maintained incrementally, from the key's slice of each arriving batch
+  /// (input; batch keys are always evaluated at the batch's time) and from
+  /// each emitted delta (output). A key is first touched by a batch, never
+  /// by a scheduled visit (visits are only scheduled for built keys), so it
+  /// starts from that slice and an empty output history. A shared
+  /// arrangement input is the one exception: its trace may already hold the
+  /// key's history, so the first touch copies it from there (ArrangeOp
+  /// inserts exactly the batches it delivers, so later slices keep the copy
+  /// exact; trace compaction preserves per-(value, ≤t) diff sums for every
+  /// probe time t at or after the frontier, so it cannot invalidate it).
   struct KeyState {
     std::vector<IterEntry<V>> hist;       // sorted by iter
     std::vector<IterEntry<Out>> out_hist;  // sorted by iter
@@ -228,6 +247,9 @@ class ReduceOp : public OperatorBase {
   }
 
   void RunAt(const Time& time) override {
+    if (depth_ < 0) depth_ = time.depth;
+    GS_CHECK(time.depth == depth_)
+        << "reduce fixed at depth " << depth_ << " saw " << time.ToString();
     if (import_) {
       // Cached slots exist only for reduces whose every evaluation landed
       // at Time(0) during the build; op orders are deterministic per
@@ -242,14 +264,14 @@ class ReduceOp : public OperatorBase {
     if (!(time == Time(0))) export_ = false;  // multi-time: not cacheable
     // Take returns the batch consolidated, i.e. sorted by (key, value), so
     // each key's new updates already form one contiguous range handed to
-    // EvaluateKeyAt, which mirrors them into the key's iteration-major
-    // history instead of re-walking the trace.
+    // EvaluateKeyAt, which folds them into the key's iteration-major
+    // history.
     Batch<std::pair<K, V>> batch = port_.Take(time);
 #if GRAPHSURGE_PARANOID
     GS_CHECK(SortedByData(batch))
         << "reduce input batch not consolidated at " << time.ToString();
 #endif
-    if (input_ == &owned_input_) {
+    if (input_ == &owned_input_ && (depth_ > 1 || kShadowTraces)) {
       for (const auto& u : batch) {
         owned_input_.Insert(u.data.first, u.data.second, time, u.diff);
       }
@@ -419,51 +441,55 @@ class ReduceOp : public OperatorBase {
     return true;
   }
 
-  // First touch of a key: mirrors its trace history (input and output)
-  // into iteration-major form and parks the cursor at `time`.
-  void BuildKeyState(const K& key, const Time& time, KeyState* state) {
+  // The hidden --inject-bug hook (fuzz_hooks.h drop_insert_at) for KeyState
+  // input histories: the Nth delivered update is lost, as a trace would
+  // lose its Nth insert — the history is the only record of owned input.
+  bool DropHistoryInsert() {
+    const uint64_t drop = fuzz::GlobalHooks().drop_insert_at;
+    return drop != 0 && ++history_inserts_ == drop;
+  }
+
+  void AddStateBytes(size_t bytes) {
+    states_bytes_ += bytes;
+    states_high_water_ = std::max(states_high_water_, states_bytes_);
+  }
+
+  // First touch of a key: seeds its input history from the key's slice
+  // [nb, ne) of the arriving batch (or, for a shared arrangement input,
+  // from the arrangement's trace) and parks the cursor at `time`. The
+  // output history starts empty — output for a key is only ever emitted by
+  // evaluating it.
+  void BuildKeyState(const K& key, const Time& time,
+                     const Update<std::pair<K, V>>* nb,
+                     const Update<std::pair<K, V>>* ne, KeyState* state) {
     const uint32_t iter0 = time.iters[0];
-    state->hist.clear();
-    state->out_hist.clear();
-    state->acc.clear();
-    state->out_acc.clear();
-    input_->ForEach(key, [&](const V& value, const Time& t, Diff diff) {
-      state->hist.push_back(IterEntry<V>{t.iters[0], value, diff});
-    });
-    output_trace_.ForEach(key, [&](const Out& value, const Time& t,
-                                   Diff diff) {
-      state->out_hist.push_back(IterEntry<Out>{t.iters[0], value, diff});
-    });
-    auto by_iter_v = [](const IterEntry<V>& a, const IterEntry<V>& b) {
-      return a.iter < b.iter;
-    };
-    auto by_iter_o = [](const IterEntry<Out>& a, const IterEntry<Out>& b) {
-      return a.iter < b.iter;
-    };
-    std::sort(state->hist.begin(), state->hist.end(), by_iter_v);
-    std::sort(state->out_hist.begin(), state->out_hist.end(), by_iter_o);
+    if (input_ == &owned_input_) {
+      for (const auto* u = nb; u != ne; ++u) {
+        if (DropHistoryInsert()) continue;
+        state->hist.push_back(IterEntry<V>{iter0, u->data.second, u->diff});
+      }
+    } else {
+      input_->ForEach(key, [&](const V& value, const Time& t, Diff diff) {
+        state->hist.push_back(IterEntry<V>{t.iters[0], value, diff});
+      });
+      std::sort(state->hist.begin(), state->hist.end(),
+                [](const IterEntry<V>& a, const IterEntry<V>& b) {
+                  return a.iter < b.iter;
+                });
+    }
     state->hist_lwm = state->hist.size();
-    state->out_lwm = state->out_hist.size();
-    state->pos = 0;
-    state->out_pos = 0;
     SeekCursor(&state->hist, &state->pos, 0, &state->acc);
-    SeekCursor(&state->out_hist, &state->out_pos, 0, &state->out_acc);
     state->base_acc = state->acc;
-    state->base_out_acc = state->out_acc;
     state->base_pos = state->pos;
-    state->base_out_pos = state->out_pos;
     SeekCursor(&state->hist, &state->pos, iter0, &state->acc);
-    SeekCursor(&state->out_hist, &state->out_pos, iter0, &state->out_acc);
     state->cur_iter = iter0;
     state->built = true;
-    states_bytes_ += state->hist.size() * sizeof(IterEntry<V>) +
-                     state->out_hist.size() * sizeof(IterEntry<Out>);
+    AddStateBytes(state->hist.size() * sizeof(IterEntry<V>));
     ScheduleTailVisits(time, state->hist, state->pos, key);
   }
 
   // Evaluates `key` at exactly `time`; [nb, ne) is the key's slice of the
-  // batch that arrived there (already inserted into the trace; the mirror
-  // folds it in here).
+  // batch that arrived there, folded into the key's history here.
   void EvaluateKeyAt(const K& key, const Time& time,
                      const Update<std::pair<K, V>>* nb,
                      const Update<std::pair<K, V>>* ne,
@@ -484,7 +510,7 @@ class ReduceOp : public OperatorBase {
     KeyState& state = states_[key];
     bool was_built = state.built;
     if (!state.built) {
-      BuildKeyState(key, time, &state);
+      BuildKeyState(key, time, nb, ne, &state);
     } else {
       if (iter0 == 0 && state.cur_iter > 0) {
         state.acc = state.base_acc;
@@ -501,9 +527,11 @@ class ReduceOp : public OperatorBase {
     }
     if (was_built && nb != ne) {
       // Input changed at `time`: schedule the lub-closure over the entries
-      // ahead of the cursor, then mirror the new deltas into the prefix.
+      // ahead of the cursor, then fold the new deltas into the prefix.
       ScheduleTailVisits(time, state.hist, state.pos, key);
+      const size_t before = state.hist.size();
       for (const auto* u = nb; u != ne; ++u) {
+        if (DropHistoryInsert()) continue;
         state.hist.insert(
             state.hist.begin() + state.pos,
             IterEntry<V>{iter0, u->data.second, u->diff});
@@ -515,18 +543,17 @@ class ReduceOp : public OperatorBase {
         }
       }
       if (iter0 == 0) PurgeZeros(&state.base_acc);
-      states_bytes_ +=
-          static_cast<size_t>(ne - nb) * sizeof(IterEntry<V>);
-      size_t before = state.hist.size();
+      AddStateBytes((state.hist.size() - before) * sizeof(IterEntry<V>));
+      const size_t grown = state.hist.size();
       if (MaybeConsolidateHist(&state.hist, &state.pos, &state.hist_lwm,
                                state.cur_iter)) {
         state.base_pos = PrefixEnd(state.hist, 0u);
       }
-      states_bytes_ -= (before - state.hist.size()) * sizeof(IterEntry<V>);
+      states_bytes_ -= (grown - state.hist.size()) * sizeof(IterEntry<V>);
     }
 #if GRAPHSURGE_PARANOID
-    // Cross-check the mirror against a direct trace walk (skipped when the
-    // fuzzer plants a lost-insert bug in the trace on purpose).
+    // Cross-check the histories against a direct walk of the (shadow)
+    // traces (skipped when the fuzzer plants a lost-insert bug on purpose).
     if (fuzz::GlobalHooks().drop_insert_at == 0) {
       Batch<V> check;
       input_->Accumulate(key, time, &check);
@@ -583,14 +610,15 @@ class ReduceOp : public OperatorBase {
     if (delta.empty()) return;
     dataflow_->stats().AddShardWork(HashValue(key),
                                     state.acc.size() + delta.size());
+    const bool trace_output = output_shared_ || kShadowTraces;
     for (const Update<Out>& d : delta) {
-      output_trace_.Insert(key, d.data, time, d.diff);
+      if (trace_output) output_trace_.Insert(key, d.data, time, d.diff);
       state.out_hist.insert(state.out_hist.begin() + state.out_pos,
                             IterEntry<Out>{iter0, d.data, d.diff});
       ++state.out_pos;
       out->push_back(Update<std::pair<K, Out>>{{key, d.data}, d.diff});
     }
-    states_bytes_ += delta.size() * sizeof(IterEntry<Out>);
+    AddStateBytes(delta.size() * sizeof(IterEntry<Out>));
     // The output at `time` now equals `desired` by construction.
     state.out_acc = desired;
     if (iter0 == 0) {
@@ -675,6 +703,12 @@ class ReduceOp : public OperatorBase {
     }
   }
 
+#if GRAPHSURGE_PARANOID
+  static constexpr bool kShadowTraces = true;
+#else
+  static constexpr bool kShadowTraces = false;
+#endif
+
   Fn fn_;
   InputPort<std::pair<K, V>> port_;
   std::map<Time, std::vector<K>, TimeLexLess> pending_keys_;
@@ -684,6 +718,12 @@ class ReduceOp : public OperatorBase {
   Publisher<std::pair<K, Out>> output_;
   std::unordered_map<K, KeyState, KeyHash> states_;
   size_t states_bytes_ = 0;  // history bytes across states_, kept in sync
+  size_t states_high_water_ = 0;
+  uint64_t history_inserts_ = 0;  // DropHistoryInsert's counter
+  // Scope depth of every time this operator sees, fixed at the first RunAt:
+  // it selects KeyState (≤ 1) or trace (≥ 2) evaluation for good.
+  int depth_ = -1;
+  bool output_shared_ = false;  // arranged() exposed the output trace
   Batch<V> scratch_in_;
   Batch<Out> scratch_desired_;
   Batch<Out> scratch_current_;

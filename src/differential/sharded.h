@@ -391,10 +391,17 @@ class ShardedDataflow {
     out += "], \"channels\": [";
     for (size_t i = 0; i < snap.edges.size(); ++i) {
       if (i) out += ", ";
-      out += "[" + std::to_string(snap.edges[i].first) + ", " +
-             std::to_string(snap.edges[i].second) + "]";
+      // Appended piecewise: gcc 12's -Wrestrict misfires on chained
+      // `"[" + std::to_string(...)` temporaries.
+      out += '[';
+      out += std::to_string(snap.edges[i].first);
+      out += ", ";
+      out += std::to_string(snap.edges[i].second);
+      out += ']';
     }
-    out += "], \"dot\": \"" + introspect::JsonEscape(RenderDot(snap)) + "\"}";
+    out += "], \"dot\": \"";
+    out += introspect::JsonEscape(RenderDot(snap));
+    out += "\"}";
     return out;
   }
 

@@ -801,7 +801,10 @@ HttpResponse QueryServer::RenderResults(Session* session) const {
     for (const auto& [vertex, value] : values) {
       if (!first) body += ", ";
       first = false;
-      body += "\"" + std::to_string(vertex) + "\": " + std::to_string(value);
+      body += '"';
+      body += std::to_string(vertex);
+      body += "\": ";
+      body += std::to_string(value);
     }
     body += "}}";
   }

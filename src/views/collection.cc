@@ -1,6 +1,7 @@
 #include "views/collection.h"
 
 #include <unordered_map>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/timer.h"
@@ -131,7 +132,9 @@ MaterializedCollection CollectionFromDiffBatches(
     mc.view_sizes.push_back(current_size);
     mc.diff_sizes.push_back(batches[t].size());
     mc.total_diffs += batches[t].size();
-    mc.view_names.push_back("v" + std::to_string(t));
+    std::string view_name = "v";
+    view_name += std::to_string(t);
+    mc.view_names.push_back(std::move(view_name));
     mc.order.push_back(t);
   }
   mc.diffs = EdgeDifferenceStream::FromBatches(std::move(batches));

@@ -16,7 +16,12 @@ LiveRun::LiveRun(const PropertyGraph& graph,
     : graph_(graph), collection_(collection), options_(options) {}
 
 void LiveRun::Send(EdgeId e, differential::Diff diff) {
-  engine_->Send(resolved_[e], diff);
+  auto [it, first_feed] = fed_.try_emplace(e);
+  if (first_feed) {
+    it->second.record = graph_.ResolveWeighted(e, options_.weight_column);
+  }
+  it->second.present = diff > 0;
+  engine_->Send(it->second.record, diff);
   epoch_input_diffs_ += 1;
 }
 
@@ -42,17 +47,11 @@ StatusOr<std::unique_ptr<LiveRun>> LiveRun::Start(
   run->num_views_ = collection->num_views();
   run->engine_ =
       std::make_unique<detail::Engine>(computation, options.dataflow);
-  run->present_.assign(graph.num_edges(), 0);
-  run->resolved_.resize(graph.num_edges());
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    run->resolved_[e] = graph.ResolveWeighted(e, options.weight_column);
-  }
 
   // Epoch 0: replay the difference stream, one engine version per view
   // (δC_0 = GV_0, so the first Step is the full first view).
   for (size_t t = 0; t < run->num_views_; ++t) {
     for (const EdgeDiff& d : collection->diffs.ViewDiffs(t)) {
-      run->present_[d.edge] = d.diff > 0 ? 1 : 0;
       run->Send(d.edge, d.diff);
     }
     GS_RETURN_IF_ERROR(run->engine_->Step());
@@ -151,40 +150,33 @@ Status LiveRun::AdvanceEpoch(const std::vector<EdgeId>& touched_edges) {
   const size_t boundary_view =
       collection_->order[descending ? num_views_ - 1 : 0];
 
-  // Grow per-edge state for edges appended by this batch. New edges start
-  // absent (they were not in any previous-epoch view).
-  present_.resize(graph_.num_edges(), 0);
-  resolved_.resize(graph_.num_edges());
-
-  // Touched edges may have new weights: save the records originally fed
-  // (retractions must match them) before refreshing the cache.
-  std::vector<WeightedEdge> old_records(touched_edges.size());
-  for (size_t i = 0; i < touched_edges.size(); ++i) {
-    EdgeId e = touched_edges[i];
-    old_records[i] = resolved_[e];
-    resolved_[e] = graph_.ResolveWeighted(e, options_.weight_column);
-  }
-
   // --- First version of the epoch: the transition -----------------------
   // Accumulated input goes from "boundary view, old epoch" to "boundary
   // view, new epoch" — the same view, so only touched edges (membership
   // and/or record changed; maintenance re-evaluates exactly the touched
-  // set) can carry a non-zero diff.
-  for (size_t i = 0; i < touched_edges.size(); ++i) {
-    EdgeId e = touched_edges[i];
-    bool old_in = present_[e] != 0;
+  // set) can carry a non-zero diff. An edge never fed is absent, and its
+  // first Send resolves its current record; edges appended by this batch
+  // are among them.
+  for (EdgeId e : touched_edges) {
     bool new_in = ebm.Get(e, boundary_view);  // alive-gated by the maintainer
-    const WeightedEdge& old_record = old_records[i];
-    if (old_in && new_in && old_record == resolved_[e]) {
-      continue;  // carried over unchanged
-    }
-    if (old_in) {
-      // Retract the exact record originally fed (pre-update weight).
-      engine_->Send(old_record, -1);
-      epoch_input_diffs_ += 1;
+    auto it = fed_.find(e);
+    if (it != fed_.end()) {
+      // A touched edge may have a new weight: refresh its record, keeping
+      // the one originally fed for the retraction.
+      FedEdge& fed = it->second;
+      const WeightedEdge old_record = fed.record;
+      fed.record = graph_.ResolveWeighted(e, options_.weight_column);
+      if (fed.present && new_in && old_record == fed.record) {
+        continue;  // carried over unchanged
+      }
+      if (fed.present) {
+        // Retract the exact record originally fed (pre-update weight).
+        engine_->Send(old_record, -1);
+        epoch_input_diffs_ += 1;
+        fed.present = false;
+      }
     }
     if (new_in) Send(e, 1);
-    present_[e] = new_in ? 1 : 0;
   }
   GS_RETURN_IF_ERROR(engine_->Step());
 
@@ -194,7 +186,6 @@ Status LiveRun::AdvanceEpoch(const std::vector<EdgeId>& touched_edges) {
   if (!descending) {
     for (size_t t = 1; t < num_views_; ++t) {
       for (const EdgeDiff& d : collection_->diffs.ViewDiffs(t)) {
-        present_[d.edge] = d.diff > 0 ? 1 : 0;
         Send(d.edge, d.diff);
       }
       GS_RETURN_IF_ERROR(engine_->Step());
@@ -202,7 +193,6 @@ Status LiveRun::AdvanceEpoch(const std::vector<EdgeId>& touched_edges) {
   } else {
     for (size_t t = num_views_ - 1; t >= 1; --t) {
       for (const EdgeDiff& d : collection_->diffs.ViewDiffs(t)) {
-        present_[d.edge] = d.diff > 0 ? 0 : 1;
         Send(d.edge, -d.diff);
       }
       GS_RETURN_IF_ERROR(engine_->Step());

@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "algorithms/computation.h"
@@ -105,7 +106,8 @@ class LiveRun {
   LiveRun(const PropertyGraph& graph, const MaterializedCollection* collection,
           const LiveRunOptions& options);
 
-  /// Feeds resolved_[e] with `diff` and counts it toward the epoch total.
+  /// Feeds e's record with `diff` (resolving it on e's first feed), marks
+  /// e present iff `diff` > 0, and counts it toward the epoch total.
   void Send(EdgeId e, differential::Diff diff);
 
   const PropertyGraph& graph_;
@@ -117,11 +119,17 @@ class LiveRun {
   uint64_t epoch_input_diffs_ = 0;       // accumulator for the current epoch
   uint64_t last_epoch_input_diffs_ = 0;  // finished-epoch readout
   sched::WorkerAttribution last_epoch_attr_;  // finished-epoch time split
-  /// present_[e]: edge e is in the most recently fed view's accumulated
-  /// input. resolved_[e]: the exact record fed for e (retractions must
-  /// byte-match the original insertion even after a weight update).
-  std::vector<uint8_t> present_;
-  std::vector<WeightedEdge> resolved_;
+  /// Per-edge state of every edge fed so far, created on its first Send, so
+  /// the run's bookkeeping is sized by the edges its views feed rather than
+  /// by the graph. `record` is the exact record fed for the edge
+  /// (retractions must byte-match the original insertion even after a
+  /// weight update); `present` says whether the edge is in the most
+  /// recently fed view's accumulated input.
+  struct FedEdge {
+    WeightedEdge record;
+    bool present = false;
+  };
+  std::unordered_map<EdgeId, FedEdge> fed_;
 };
 
 }  // namespace gs::views

@@ -251,6 +251,60 @@ TEST(ArrangeTest, ArrangedLoopMatchesPlainLoop) {
   }
 }
 
+TEST(ArrangeTest, DistinctArrangedOutputTraceIsPopulatedAndProbed) {
+  // A reduce whose output is shared keeps writing its output trace even
+  // though its own evaluations read only their KeyState histories: the
+  // joins downstream probe that trace.
+  Dataflow dataflow;
+  Input<IntPair> edges(&dataflow);
+  Input<IntPair> probes(&dataflow);  // (key, tag)
+  auto adjacency = DistinctArranged(edges.stream());
+  auto* joined = Capture(JoinArranged(
+      probes.stream(), adjacency,
+      [](const int64_t&, const int64_t& tag, const int64_t& dst) {
+        return IntPair{tag, dst};
+      }));
+
+  std::map<IntPair, Diff> edge_counts;
+  std::map<IntPair, Diff> probe_counts;
+  Rng rng(23);
+  for (uint32_t version = 0; version < 4; ++version) {
+    for (int i = 0; i < 40; ++i) {
+      IntPair e{rng.Uniform(0, 9), rng.Uniform(0, 9)};
+      // Duplicates and retractions: DistinctArranged keeps each edge with
+      // a positive count exactly once.
+      Diff d = edge_counts[e] > 0 && rng.Bernoulli(0.4) ? -1 : 1;
+      edges.Send(e, d);
+      edge_counts[e] += d;
+    }
+    for (int i = 0; i < 6; ++i) {
+      IntPair p{rng.Uniform(0, 9), rng.Uniform(100, 104)};
+      probes.Send(p, 1);
+      probe_counts[p] += 1;
+    }
+    ASSERT_TRUE(dataflow.Step().ok());
+
+    std::map<IntPair, Diff> expected;
+    for (const auto& [p, pc] : probe_counts) {
+      for (const auto& [e, ec] : edge_counts) {
+        if (e.first == p.first && ec > 0) expected[{p.second, e.second}] += pc;
+      }
+    }
+    EXPECT_EQ(ToMap(joined->AccumulatedAt(version)), expected)
+        << "version " << version;
+  }
+  EXPECT_GT(adjacency.trace()->total_entries(), 0u);
+  EXPECT_GT(dataflow.stats().arrangement_probes, 0u);
+  bool saw_reduce = false;
+  for (const auto& snap : dataflow.CollectOperatorSnapshots()) {
+    if (snap.name != "reduce") continue;
+    saw_reduce = true;
+    // The shared output trace is the reduce's to account.
+    EXPECT_EQ(snap.memory.trace_entries, adjacency.trace()->total_entries());
+  }
+  EXPECT_TRUE(saw_reduce);
+}
+
 TEST(ArrangeTest, ArrangementSharesAreCounted) {
   Dataflow dataflow;
   Input<IntPair> input(&dataflow);

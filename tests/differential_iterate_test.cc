@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
+
+#include "common/random.h"
 
 #include "differential/differential.h"
 
@@ -50,6 +53,61 @@ struct BfsHarness {
     capture = Capture(dists);
   }
 };
+
+// Reference hop distances from vertex 0 over the edges with positive
+// count.
+std::map<VertexDist, Diff> ReferenceBfs(const std::map<EdgeRec, Diff>& edges) {
+  std::map<uint64_t, int64_t> dist{{0, 0}};
+  std::vector<uint64_t> frontier{0};
+  while (!frontier.empty()) {
+    std::vector<uint64_t> next;
+    for (uint64_t v : frontier) {
+      for (const auto& [e, count] : edges) {
+        if (count > 0 && e.first == v && !dist.count(e.second)) {
+          dist[e.second] = dist[v] + 1;
+          next.push_back(e.second);
+        }
+      }
+    }
+    frontier = std::move(next);
+  }
+  std::map<VertexDist, Diff> out;
+  for (const auto& [v, d] : dist) out[{v, d}] = 1;
+  return out;
+}
+
+// Reference per-vertex minimum label: every label floods along the edges
+// with positive count.
+std::map<VertexDist, Diff> ReferenceMinLabels(
+    std::map<uint64_t, int64_t> labels, const std::map<EdgeRec, Diff>& edges) {
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const auto& [e, count] : edges) {
+      if (count <= 0 || !labels.count(e.first)) continue;
+      auto [it, inserted] = labels.try_emplace(e.second, labels[e.first]);
+      if (!inserted && labels[e.first] < it->second) {
+        it->second = labels[e.first];
+        changed = true;
+      }
+      changed = changed || inserted;
+    }
+  }
+  std::map<VertexDist, Diff> out;
+  for (const auto& [v, label] : labels) out[{v, label}] = 1;
+  return out;
+}
+
+// Sends `count` random edge insertions or retractions over vertices
+// [0, num_vertices), keeping `edges` as their running multiset.
+void SendRandomEdges(Input<EdgeRec>* input, std::map<EdgeRec, Diff>* edges,
+                     Rng* rng, int count, uint64_t num_vertices) {
+  for (int i = 0; i < count; ++i) {
+    EdgeRec e{rng->Index(num_vertices), rng->Index(num_vertices)};
+    Diff d = (*edges)[e] > 0 && rng->Bernoulli(0.35) ? -1 : 1;
+    input->Send(e, d);
+    (*edges)[e] += d;
+  }
+}
 
 TEST(IterateTest, BfsFixpointOnChain) {
   BfsHarness h;
@@ -184,6 +242,92 @@ TEST(IterateTest, MultipleVersionsConvergeIndependently) {
     EXPECT_EQ(acc.size(), v + 2);
     EXPECT_EQ(acc.at({v + 1, static_cast<int64_t>(v + 1)}), 1);
   }
+}
+
+TEST(IterateTest, ShallowReducesKeepNoPrivateTrace) {
+  // A depth-1 ReduceMin inside Iterate and a depth-0 Count both own their
+  // input, so their KeyState histories are their only history: no private
+  // trace entry is written, and the histories are accounted as the
+  // operators' trace bytes.
+  BfsHarness h;
+  auto* degrees = Capture(Count(h.edges.stream()));
+  h.roots.Send({0, 0}, 1);
+  std::map<EdgeRec, Diff> edges;
+  Rng rng(11);
+  for (uint32_t version = 0; version < 8; ++version) {
+    SendRandomEdges(&h.edges, &edges, &rng, 14, 16);
+    ASSERT_TRUE(h.df.Step().ok());
+    EXPECT_EQ(ToMap(h.capture->AccumulatedAt(version)), ReferenceBfs(edges))
+        << "version " << version;
+    std::map<std::pair<uint64_t, int64_t>, Diff> expected_degrees;
+    std::map<uint64_t, int64_t> degree;
+    for (const auto& [e, count] : edges) degree[e.first] += count;
+    for (const auto& [v, d] : degree) {
+      if (d != 0) expected_degrees[{v, d}] = 1;
+    }
+    EXPECT_EQ(ToMap(degrees->AccumulatedAt(version)), expected_degrees)
+        << "version " << version;
+  }
+  size_t reduces = 0;
+  for (const auto& snap : h.df.CollectOperatorSnapshots()) {
+    if (snap.name != "reduce") continue;
+    ++reduces;
+    EXPECT_EQ(snap.memory.trace_entries, 0u) << "op " << snap.order;
+    EXPECT_EQ(snap.memory.trace_batches, 0u) << "op " << snap.order;
+    EXPECT_EQ(snap.memory.trace_merges, 0u) << "op " << snap.order;
+    EXPECT_GT(snap.memory.trace_bytes, 0u) << "op " << snap.order;
+    EXPECT_GE(snap.memory.trace_high_water_bytes, snap.memory.trace_bytes)
+        << "op " << snap.order;
+  }
+  EXPECT_EQ(reduces, 2u);
+}
+
+TEST(IterateTest, NestedReduceEvaluatesFromItsTraces) {
+  // Depth-2 times leave the iteration-scalar regime: the inner ReduceMin
+  // keeps its input and output traces and evaluates from them, across
+  // versions that both add and retract edges.
+  Dataflow df;
+  Input<EdgeRec> edges(&df);
+  Input<VertexDist> labels(&df);
+  auto result = Iterate<VertexDist>(
+      labels.stream(),
+      [&](LoopScope& outer, Stream<VertexDist> outer_var) {
+        auto edges_outer = outer.Enter(edges.stream());
+        return Iterate<VertexDist>(
+            outer_var,
+            [&](LoopScope& inner, Stream<VertexDist> inner_var) {
+              auto edges_in = inner.Enter(edges_outer);
+              auto moved = Join(inner_var, edges_in,
+                                [](const uint64_t&, const int64_t& label,
+                                   const uint64_t& dst) {
+                                  return std::make_pair(dst, label);
+                                });
+              return ReduceMin(moved.Concat(inner_var));
+            });
+      });
+  auto* cap = Capture(result);
+
+  std::map<uint64_t, int64_t> initial;
+  for (uint64_t v = 0; v < 4; ++v) {
+    initial[v] = static_cast<int64_t>(40 - 7 * v);
+    labels.Send({v, initial[v]}, 1);
+  }
+  std::map<EdgeRec, Diff> edge_counts;
+  Rng rng(31);
+  for (uint32_t version = 0; version < 5; ++version) {
+    SendRandomEdges(&edges, &edge_counts, &rng, 6, 10);
+    ASSERT_TRUE(df.Step().ok());
+    EXPECT_EQ(ToMap(cap->AccumulatedAt(version)),
+              ReferenceMinLabels(initial, edge_counts))
+        << "version " << version;
+  }
+  size_t reduces = 0;
+  for (const auto& snap : df.CollectOperatorSnapshots()) {
+    if (snap.name != "reduce") continue;
+    ++reduces;
+    EXPECT_GT(snap.memory.trace_entries, 0u);
+  }
+  EXPECT_EQ(reduces, 1u);
 }
 
 }  // namespace

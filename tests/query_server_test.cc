@@ -54,7 +54,10 @@ std::string CanonicalResultsBody(const std::string& target,
   for (const auto& [vertex, value] : values) {
     if (!first) body += ", ";
     first = false;
-    body += "\"" + std::to_string(vertex) + "\": " + std::to_string(value);
+    body += '"';
+    body += std::to_string(vertex);
+    body += "\": ";
+    body += std::to_string(value);
   }
   body += "}}]}\n";
   return body;
@@ -315,8 +318,10 @@ TEST_F(QueryServerTest, ConcurrentClientsAcrossSessionsStayIsolated) {
   std::atomic<int> errors{0};
   auto client = [&](int id) {
     for (int s = 0; s < kSessionsPerClient; ++s) {
-      const std::string session =
-          "c" + std::to_string(id) + "-" + std::to_string(s);
+      std::string session = "c";
+      session += std::to_string(id);
+      session += '-';
+      session += std::to_string(s);
       // Private view in the session namespace; same name everywhere.
       if (Query(server_.port(), session,
                 "create view V on G edges where weight < " +

@@ -162,15 +162,23 @@ PropertyGraph RandomGraph(Rng& rng, size_t num_nodes, size_t num_edges) {
   const std::string cities[] = {"NY",       "LA",          "prefix88",
                                 "prefix88a", "prefix88b",  "prefix88ab",
                                 ""};
-  auto cell = [&](PropertyValue v) {
-    return rng.Bernoulli(0.15) ? PropertyValue::Null() : std::move(v);
+  // Appends `value` to `row`, or NULL with probability 0.15. The value is
+  // drawn before the coin, so the draw order is value, coin per cell.
+  auto cell = [&](std::vector<PropertyValue>* row, auto value) {
+    if (rng.Bernoulli(0.15)) {
+      row->push_back(PropertyValue::Null());
+    } else {
+      row->emplace_back(std::move(value));
+    }
   };
+  std::vector<PropertyValue> row;
   for (size_t i = 0; i < num_nodes; ++i) {
-    EXPECT_TRUE(np.AppendRow({cell(PropertyValue(cities[rng.Index(7)])),
-                              cell(PropertyValue(rng.Uniform(-3, 3) * 0.5)),
-                              cell(PropertyValue(rng.Uniform(-5, 5))),
-                              cell(PropertyValue(rng.Bernoulli(0.5)))})
-                    .ok());
+    row.clear();
+    cell(&row, cities[rng.Index(7)]);
+    cell(&row, rng.Uniform(-3, 3) * 0.5);
+    cell(&row, rng.Uniform(-5, 5));
+    cell(&row, rng.Bernoulli(0.5));
+    EXPECT_TRUE(np.AppendRow(row).ok());
   }
   auto& ep = g.edge_properties();
   EXPECT_TRUE(ep.AddColumn("duration", PropertyType::kInt).ok());
@@ -181,11 +189,12 @@ PropertyGraph RandomGraph(Rng& rng, size_t num_nodes, size_t num_edges) {
   for (size_t i = 0; i < num_edges; ++i) {
     EXPECT_TRUE(
         g.AddEdge(rng.Index(num_nodes), rng.Index(num_nodes)).ok());
-    EXPECT_TRUE(ep.AppendRow({cell(PropertyValue(rng.Uniform(0, 10))),
-                              cell(PropertyValue(rng.UniformReal(0, 1))),
-                              cell(PropertyValue(labels[rng.Index(5)])),
-                              cell(PropertyValue(rng.Bernoulli(0.5)))})
-                    .ok());
+    row.clear();
+    cell(&row, rng.Uniform(0, 10));
+    cell(&row, rng.UniformReal(0, 1));
+    cell(&row, labels[rng.Index(5)]);
+    cell(&row, rng.Bernoulli(0.5));
+    EXPECT_TRUE(ep.AppendRow(row).ok());
   }
   return g;
 }
@@ -283,7 +292,9 @@ TEST(BatchEvalTest, EbmComputeMasksTombstonedEdges) {
   PropertyGraph g = RandomGraph(rng, 32, 300);
   // Tombstone a random fifth of the edges.
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (rng.Bernoulli(0.2)) EXPECT_TRUE(g.RemoveEdge(e).ok());
+    if (rng.Bernoulli(0.2)) {
+      EXPECT_TRUE(g.RemoveEdge(e).ok());
+    }
   }
   std::vector<std::string> texts;
   std::vector<gvdl::ExprPtr> exprs;

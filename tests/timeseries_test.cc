@@ -116,7 +116,9 @@ TEST(StoreTest, JsonParsesAndCarriesSamples) {
 TEST(StoreTest, SeriesCapCountsDrops) {
   timeseries::Store store;
   for (size_t i = 0; i < timeseries::Store::kMaxSeries + 5; ++i) {
-    store.Record("s" + std::to_string(i), 1, 1.0);
+    std::string name = "s";
+    name += std::to_string(i);
+    store.Record(name, 1, 1.0);
   }
   EXPECT_EQ(store.Names().size(), timeseries::Store::kMaxSeries);
   json_lite::Value doc = ParseJsonOrFail(store.ToJson());

@@ -135,7 +135,9 @@ TEST(WatchdogHealthyTest, FullTenViewRunRecordsZeroFirings) {
   std::vector<std::string> names;
   std::vector<std::function<bool(EdgeId)>> predicates;
   for (int v = 0; v < 10; ++v) {
-    names.push_back("v" + std::to_string(v));
+    std::string name = "v";
+    name += std::to_string(v);
+    names.push_back(name);
     predicates.push_back([v](EdgeId e) {
       return static_cast<int>(e % 12) <= v + 2;
     });
@@ -256,6 +258,10 @@ TEST(WatchdogRuleTest, IngestLagMonotoneGrowthFires) {
   options.ingest_lag_increases = 3;
   options.write_flight_dumps = false;
   ASSERT_TRUE(dog.Start(options).ok());  // baseline: lag already 1000-ish
+  // The loop thread evaluates once as soon as it starts. Let that pass land
+  // at the baseline lag: run after the first Set below, it would count an
+  // increase of its own and shift the streak the checks below expect.
+  while (dog.Health().evaluations == 0) std::this_thread::yield();
 
   metrics::Counter* rule_firings = metrics::Registry::Global().GetCounter(
       "gs_watchdog_rule_firings", {{"rule", "ingest_lag"}});
